@@ -335,65 +335,33 @@ func validatorFor(d domain.Detection) domain.Validator {
 // verdict, mirroring the pattern report's example cap.
 const maxDomainExamples = 5
 
-// Check evaluates one batch of the stream against its rule and folds
-// the verdict into the stream's rolling history. The stream snapshot
-// comes from the registry; Check never mutates it.
+// Check evaluates one batch of string values: an adapter over
+// CheckBytes that copies the batch once into a single slab and checks
+// byte views of it, with no per-value allocation.
 func (e *Engine) Check(stream registry.Stream, values []string) (Decision, error) {
-	if stream.Rule == nil {
-		return Decision{}, fmt.Errorf("monitor: stream %q has no rule", stream.Name)
+	size := 0
+	for _, v := range values {
+		size += len(v)
 	}
-	if len(values) == 0 {
-		return Decision{}, fmt.Errorf("monitor: stream %q: %w", stream.Name, validate.ErrEmptyBatch)
+	slab := make([]byte, 0, size)
+	views := make([][]byte, len(values))
+	for i, v := range values {
+		lo := len(slab)
+		slab = append(slab, v...)
+		views[i] = slab[lo:len(slab):len(slab)]
 	}
-
-	// Pattern matching and the homogeneity test run lock-free.
-	rep, err := stream.Rule.Validate(values)
-	if err != nil {
-		return Decision{}, fmt.Errorf("monitor: stream %q: %w", stream.Name, err)
-	}
-
-	// Semantic pass: run the stream's domain validator, if any, and
-	// count the failures the pattern cannot see. Only values that
-	// *conform* to the pattern add evidence — pattern-non-conforming
-	// values are already counted by the syntactic report, and counting
-	// them twice would double-weight ordinary drift.
-	v := Verdict{
-		StreamVersion: stream.Version,
-		Total:         rep.Total,
-		NonConforming: rep.NonConforming,
-		PValue:        rep.PValue,
-		Examples:      rep.Examples,
-	}
-	if dv := validatorFor(stream.Domain); dv != nil {
-		v.Domain = stream.Domain.Name
-		prog := stream.Rule.Program()
-		for _, val := range values {
-			if dv.Validate(val) == nil {
-				continue
-			}
-			v.DomainInvalid++
-			if prog.MatchString(val) {
-				v.DomainOnlyInvalid++
-				if len(v.DomainExamples) < maxDomainExamples {
-					v.DomainExamples = append(v.DomainExamples, val)
-				}
-			}
-		}
-	}
-
-	alarmed := e.score(stream, &v, rep.Alarm)
-	if alarmed && v.NonConforming > 0 {
-		v.Attribution = stream.Rule.AttributeStrings(values, validate.MaxAttributionSamples)
-	}
-	return e.fold(stream, v, alarmed), nil
+	return e.CheckBytes(stream, views)
 }
 
-// CheckBytes is Check over a decoded column slab: values are byte views
-// (typically into one contiguous request buffer) and matching runs
-// through the rule's compiled program via the zero-allocation batch
-// path. Strings are materialized only for the handful of retained
-// examples and, when the stream carries a semantic domain, for the
-// validator pass.
+// CheckBytes evaluates one batch of the stream against its rule and
+// folds the verdict into the stream's rolling history. The stream
+// snapshot comes from the registry; CheckBytes never mutates it. Values
+// are byte views (typically into one contiguous request buffer) and
+// matching runs through the rule's compiled program via the
+// zero-allocation batch path. Strings are materialized only for the
+// handful of retained examples and, when the stream carries a semantic
+// domain, for the validator pass: nothing in the decision aliases
+// values, so the caller may reuse their memory once CheckBytes returns.
 func (e *Engine) CheckBytes(stream registry.Stream, values [][]byte) (Decision, error) {
 	if stream.Rule == nil {
 		return Decision{}, fmt.Errorf("monitor: stream %q has no rule", stream.Name)
@@ -402,12 +370,18 @@ func (e *Engine) CheckBytes(stream registry.Stream, values [][]byte) (Decision, 
 		return Decision{}, fmt.Errorf("monitor: stream %q: %w", stream.Name, validate.ErrEmptyBatch)
 	}
 
+	// Pattern matching and the homogeneity test run lock-free.
 	rep := validate.AcquireBatchReport()
 	defer rep.Release()
 	if err := stream.Rule.ValidateBatch(values, rep); err != nil {
 		return Decision{}, fmt.Errorf("monitor: stream %q: %w", stream.Name, err)
 	}
 
+	// Semantic pass: run the stream's domain validator, if any, and
+	// count the failures the pattern cannot see. Only values that
+	// *conform* to the pattern add evidence — pattern-non-conforming
+	// values are already counted by the syntactic report, and counting
+	// them twice would double-weight ordinary drift.
 	v := Verdict{
 		StreamVersion: stream.Version,
 		Total:         rep.Total,

@@ -1,23 +1,30 @@
 package service
 
-// Columnar request bodies. Alongside the JSON envelope, POST /validate
-// and POST /streams/{name}/check accept a raw column: `text/csv` (one
-// value per line, RFC 4180 quoting) or NDJSON (`application/x-ndjson`,
-// one JSON string per line). The body is read once into a single slab
-// and split into [][]byte views — quoted/escaped values are unescaped
-// in place, which only ever shrinks — so a million-value batch is
-// decoded without materializing a []string or copying any value, and
-// validation runs through the rule's compiled program via
-// Rule.ValidateBatch.
+// Request bodies. Every body a handler decodes is read once into a
+// pooled reqBody: one slab holding the raw bytes and one slice of
+// [][]byte views that the decoders split it into. Alongside the JSON
+// envelope, POST /validate and POST /streams/{name}/check accept a raw
+// column: `text/csv` (one value per line, RFC 4180 quoting) or NDJSON
+// (`application/x-ndjson`, one JSON string per line). Quoted/escaped
+// values are unescaped in place, which only ever shrinks, so a
+// million-value batch is decoded without materializing a []string or
+// copying any value, and validation runs through the rule's compiled
+// program via Rule.ValidateBatch. The JSON envelope's "values" array
+// is decoded into the same views (jsonbody.go).
+//
+// The slab is reused by the next request once released, so nothing that
+// outlives the request may alias it: response examples, domain examples,
+// attribution samples and re-inference training values are all copied
+// out as strings.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
-	"unicode/utf16"
-	"unicode/utf8"
+	"sync"
 )
 
 // columnarKind classifies a request Content-Type.
@@ -44,28 +51,101 @@ func columnarKindOf(contentType string) columnarKind {
 	}
 }
 
-// decodeColumnar reads and splits a columnar body, writing the HTTP
-// error itself on failure (mirroring decodeJSON). The returned values
-// are views into one slab that lives as long as the values do.
-func decodeColumnar(w http.ResponseWriter, r *http.Request, kind columnarKind, limit int64, header bool) ([][]byte, bool) {
-	slab, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+const (
+	// maxPresize caps how much of a request's claimed Content-Length is
+	// allocated before any byte arrives; past it the slab grows only as
+	// bytes are actually read, so a forged header cannot make the server
+	// allocate the whole body limit up front.
+	maxPresize = 1 << 20
+	// maxPooledSlab and maxPooledViews bound what release hands back to
+	// the pool: one outsized request must not pin its buffers for the
+	// life of the process.
+	maxPooledSlab  = 4 << 20
+	maxPooledViews = 1 << 18
+)
+
+// reqBody is a pooled request body: the bytes read and the value views
+// decoded from them. Acquire with readBody, return with release.
+type reqBody struct {
+	slab  []byte
+	views [][]byte
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(reqBody) }}
+
+// readBody reads r.Body, bounded by limit, into a pooled slab, writing
+// the HTTP error itself on failure (413 past the limit, 400 otherwise).
+// The caller must release the body once nothing references its bytes.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) (*reqBody, bool) {
+	b := bodyPool.Get().(*reqBody)
+	want := int64(bytes.MinRead)
+	if cl := r.ContentLength; cl > 0 {
+		want += min(cl, limit, maxPresize)
+	}
+	if int64(cap(b.slab)) < want {
+		b.slab = make([]byte, 0, want)
+	}
+	src := http.MaxBytesReader(w, r.Body, limit)
+	slab := b.slab[:0]
+	for {
+		if len(slab) == cap(slab) {
+			slab = append(slab, 0)[:len(slab)]
+		}
+		n, err := src.Read(slab[len(slab):cap(slab)])
+		slab = slab[:len(slab)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			b.slab = slab
+			b.release()
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, r, http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+				return nil, false
+			}
+			writeError(w, r, http.StatusBadRequest, "reading request body: "+err.Error())
 			return nil, false
 		}
-		writeError(w, r, http.StatusBadRequest, "reading request body: "+err.Error())
-		return nil, false
 	}
-	var values [][]byte
+	b.slab = slab
+	return b, true
+}
+
+// release returns the body to the pool. Views are cleared so the pool
+// pins no value copied out of the slab; oversized buffers are dropped.
+func (b *reqBody) release() {
+	clear(b.views[:cap(b.views)])
+	b.views = b.views[:0]
+	if cap(b.slab) > maxPooledSlab || cap(b.views) > maxPooledViews {
+		return
+	}
+	bodyPool.Put(b)
+}
+
+// presized returns the body's view slice emptied, with room for at
+// least n values.
+func (b *reqBody) presized(n int) [][]byte {
+	if cap(b.views) < n {
+		b.views = make([][]byte, 0, n)
+	}
+	return b.views[:0]
+}
+
+// columnar splits a columnar body into values, writing the HTTP error
+// itself on failure (mirroring decodeJSON). The values are views into
+// the slab and live until release.
+func (b *reqBody) columnar(w http.ResponseWriter, r *http.Request, kind columnarKind, header bool) ([][]byte, bool) {
+	values := b.presized(bytes.Count(b.slab, []byte{'\n'}) + 1)
+	var err error
 	switch kind {
 	case colCSV:
-		values, err = splitCSVColumn(slab)
+		values, err = splitCSVColumn(values, b.slab)
 	default:
-		values, err = splitNDJSONColumn(slab)
+		values, err = splitNDJSONColumn(values, b.slab)
 	}
+	b.views = values
 	if err != nil {
 		writeError(w, r, http.StatusBadRequest, err.Error())
 		return nil, false
@@ -85,9 +165,9 @@ func decodeColumnar(w http.ResponseWriter, r *http.Request, kind columnarKind, l
 // and quoted values may contain newlines. Unescaping rewrites the slab
 // in place, so every returned value is a view into it. A comma outside
 // quotes means the row has more than one field and is rejected — the
-// endpoint takes a column, not a table.
-func splitCSVColumn(slab []byte) ([][]byte, error) {
-	var values [][]byte
+// endpoint takes a column, not a table. Values are appended to dst.
+func splitCSVColumn(dst [][]byte, slab []byte) ([][]byte, error) {
+	values := dst
 	line := 1
 	i := 0
 	for i < len(slab) {
@@ -159,12 +239,13 @@ func splitCSVColumn(slab []byte) ([][]byte, error) {
 }
 
 // splitNDJSONColumn splits an NDJSON body: one value per line, each a
-// JSON string (unescaped in place) or a bare scalar token (number,
+// JSON string (decoded as in the JSON envelope, in place unless invalid
+// UTF-8 has to grow) or a bare scalar token (number,
 // true/false, null — taken verbatim, covering numeric columns without a
 // quoting round-trip). Blank lines are skipped; objects and arrays are
-// rejected.
-func splitNDJSONColumn(slab []byte) ([][]byte, error) {
-	var values [][]byte
+// rejected. Values are appended to dst.
+func splitNDJSONColumn(dst [][]byte, slab []byte) ([][]byte, error) {
+	values := dst
 	line := 0
 	i := 0
 	for i < len(slab) {
@@ -189,7 +270,10 @@ func splitNDJSONColumn(slab []byte) ([][]byte, error) {
 		}
 		switch slab[lo] {
 		case '"':
-			v, err := unescapeJSONString(slab, lo, hi)
+			v, end, err := decodeString(slab[:hi], lo)
+			if err == nil && end != hi {
+				err = errors.New("unexpected data after JSON string")
+			}
 			if err != nil {
 				return nil, fmt.Errorf("ndjson line %d: %w", line, err)
 			}
@@ -201,112 +285,4 @@ func splitNDJSONColumn(slab []byte) ([][]byte, error) {
 		}
 	}
 	return values, nil
-}
-
-// unescapeJSONString decodes the JSON string in slab[lo:hi] (including
-// its surrounding quotes) in place and returns the decoded view. JSON
-// escapes never expand — \uXXXX is six bytes for at most a three-byte
-// rune, surrogate pairs twelve for four — so writing behind the read
-// cursor is safe.
-func unescapeJSONString(slab []byte, lo, hi int) ([]byte, error) {
-	if hi-lo < 2 || slab[hi-1] != '"' {
-		return nil, errors.New("unterminated JSON string")
-	}
-	j := lo + 1
-	limit := hi - 1
-	w := j
-	start := j
-	for j < limit {
-		c := slab[j]
-		if c == '"' {
-			return nil, errors.New("unexpected data after JSON string")
-		}
-		if c != '\\' {
-			slab[w] = c
-			w++
-			j++
-			continue
-		}
-		j++
-		if j >= limit {
-			return nil, errors.New("truncated escape sequence")
-		}
-		switch slab[j] {
-		case '"', '\\', '/':
-			slab[w] = slab[j]
-			w++
-			j++
-		case 'b':
-			slab[w] = '\b'
-			w++
-			j++
-		case 'f':
-			slab[w] = '\f'
-			w++
-			j++
-		case 'n':
-			slab[w] = '\n'
-			w++
-			j++
-		case 'r':
-			slab[w] = '\r'
-			w++
-			j++
-		case 't':
-			slab[w] = '\t'
-			w++
-			j++
-		case 'u':
-			r, n, err := decodeHexRune(slab[j-1 : limit])
-			if err != nil {
-				return nil, err
-			}
-			j += n - 1
-			w += utf8.EncodeRune(slab[w:], r)
-		default:
-			return nil, fmt.Errorf("bad escape \\%c", slab[j])
-		}
-	}
-	return slab[start:w], nil
-}
-
-// decodeHexRune decodes one \uXXXX escape (b starts at the backslash),
-// combining UTF-16 surrogate pairs, and returns the rune and the number
-// of input bytes consumed.
-func decodeHexRune(b []byte) (rune, int, error) {
-	hex4 := func(b []byte) (rune, bool) {
-		var r rune
-		for _, c := range b[:4] {
-			r <<= 4
-			switch {
-			case c >= '0' && c <= '9':
-				r |= rune(c - '0')
-			case c >= 'a' && c <= 'f':
-				r |= rune(c-'a') + 10
-			case c >= 'A' && c <= 'F':
-				r |= rune(c-'A') + 10
-			default:
-				return 0, false
-			}
-		}
-		return r, true
-	}
-	if len(b) < 6 {
-		return 0, 0, errors.New("truncated \\u escape")
-	}
-	r, ok := hex4(b[2:])
-	if !ok {
-		return 0, 0, errors.New("bad \\u escape")
-	}
-	if utf16.IsSurrogate(r) {
-		if len(b) >= 12 && b[6] == '\\' && b[7] == 'u' {
-			if r2, ok := hex4(b[8:]); ok {
-				if dec := utf16.DecodeRune(r, r2); dec != utf8.RuneError {
-					return dec, 12, nil
-				}
-			}
-		}
-		return utf8.RuneError, 6, nil
-	}
-	return r, 6, nil
 }

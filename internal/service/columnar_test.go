@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -32,7 +33,7 @@ func TestSplitCSVColumn(t *testing.T) {
 		{"junk after quote", "\"a\"x\n", nil, true},
 	}
 	for _, tc := range cases {
-		got, err := splitCSVColumn([]byte(tc.body))
+		got, err := splitCSVColumn(nil, []byte(tc.body))
 		if tc.err {
 			if err == nil {
 				t.Errorf("%s: expected error, got %q", tc.name, got)
@@ -75,7 +76,7 @@ func TestSplitNDJSONColumn(t *testing.T) {
 		{"bad escape", `"\q"` + "\n", nil, true},
 	}
 	for _, tc := range cases {
-		got, err := splitNDJSONColumn([]byte(tc.body))
+		got, err := splitNDJSONColumn(nil, []byte(tc.body))
 		if tc.err {
 			if err == nil {
 				t.Errorf("%s: expected error, got %q", tc.name, got)
@@ -197,7 +198,7 @@ func TestValidateColumnarErrors(t *testing.T) {
 
 // TestStreamCheckColumnar mirrors a JSON check with a CSV one and
 // expects identical verdict counts, then confirms the compiled-engine
-// counters surfaced on /metrics.
+// counters surfaced on /metrics count both batches.
 func TestStreamCheckColumnar(t *testing.T) {
 	srv := streamServer(t, "")
 	ts := httptest.NewServer(srv.Handler())
@@ -243,9 +244,23 @@ func TestStreamCheckColumnar(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := string(raw)
-	if !strings.Contains(metrics, `autovalidate_compiled_values_total{engine="dfa"} 200`) &&
-		!strings.Contains(metrics, `autovalidate_compiled_values_total{engine="nfa"} 200`) {
-		t.Errorf("compiled-engine counter missing from /metrics:\n%s", metrics)
+	// JSON envelopes run on the compiled batch path too: both checks'
+	// values are counted, whichever engine the rule lowered to.
+	total := 0
+	for _, engine := range []string{"dfa", "nfa"} {
+		prefix := `autovalidate_compiled_values_total{engine="` + engine + `"} `
+		for _, line := range strings.Split(metrics, "\n") {
+			if n, ok := strings.CutPrefix(line, prefix); ok {
+				v, err := strconv.Atoi(n)
+				if err != nil {
+					t.Fatalf("bad counter line %q: %v", line, err)
+				}
+				total += v
+			}
+		}
+	}
+	if total != 400 {
+		t.Errorf("compiled values total = %d, want 400 (200 JSON + 200 CSV):\n%s", total, metrics)
 	}
 
 	if code := postRaw(t, ts, "/streams/nope/check", "text/csv", body, nil); code != http.StatusNotFound {

@@ -93,6 +93,71 @@ func TestBatchValidateZeroAllocsWhenUnsampled(t *testing.T) {
 	}
 }
 
+// TestStreamCheckHandlerAllocsBounded bounds the allocations of the
+// in-process stream-check handler, JSON envelope and CSV bodies alike,
+// on a warm 500-value accepted batch: both decode into a pooled slab and
+// run the compiled batch path, so the count is a small constant (the
+// request envelope, the decision and the response), not one per value.
+func TestStreamCheckHandlerAllocsBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector makes sync.Pool drop puts; alloc counts are meaningless")
+	}
+	srv := tracedServer(t, obs.NewTracer(obs.TracerConfig{SampleEvery: -1}))
+	h := srv.Handler()
+	train := trainValues(t, "timestamp_us", 120, 21)
+	put, err := json.Marshal(StreamPutRequest{Train: train})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := serve(t, h, "PUT", "/streams/hot", "application/json", string(put)); code != http.StatusOK {
+		t.Fatalf("PUT: status %d: %s", code, body)
+	}
+	batch := trainValues(t, "timestamp_us", 500, 22)
+	envelope, err := json.Marshal(StreamCheckRequest{Values: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxAllocs = 40
+	for _, c := range []struct{ ctype, body string }{
+		{"application/json", string(envelope)},
+		{"text/csv", strings.Join(batch, "\n") + "\n"},
+	} {
+		body := strings.NewReader(c.body)
+		req := httptest.NewRequest("POST", "/streams/hot/check", body)
+		req.Header.Set("Content-Type", c.ctype)
+		w := &discardResponse{header: http.Header{}}
+		run := func() {
+			body.Reset(c.body)
+			req.Body = readCloser{body}
+			w.code = 0
+			h.ServeHTTP(w, req)
+			if w.code != http.StatusOK {
+				t.Fatalf("%s check: status %d", c.ctype, w.code)
+			}
+		}
+		run() // warm the body pool and the rule's scratch
+		if allocs := testing.AllocsPerRun(20, run); allocs > maxAllocs {
+			t.Errorf("%s stream check: %.0f allocs per 500-value batch, want <= %d", c.ctype, allocs, maxAllocs)
+		}
+	}
+}
+
+// readCloser adapts a reused reader as a request body without a fresh
+// allocation per request.
+type readCloser struct{ *strings.Reader }
+
+func (readCloser) Close() error { return nil }
+
+// discardResponse is a ResponseWriter that keeps only the status.
+type discardResponse struct {
+	header http.Header
+	code   int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardResponse) WriteHeader(code int)        { d.code = code }
+
 // TestMetricsExpositionValidUnderTraffic lints /metrics with the
 // exposition parser while validation and stream-check traffic runs
 // concurrently — the scrape must stay parseable (ordered HELP/TYPE,

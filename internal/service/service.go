@@ -150,7 +150,8 @@ type Server struct {
 	start   time.Time
 
 	// compiledDFAValues/compiledNFAValues count values validated through
-	// compiled rule programs on the columnar batch paths, split by
+	// compiled rule programs on the batch paths (every /validate and
+	// stream check, whatever the body encoding), split by
 	// whether the pattern lowered to a DFA or runs on the pike-VM
 	// fallback — the /metrics view of compiled-vs-fallback traffic.
 	compiledDFAValues atomic.Uint64
@@ -692,11 +693,17 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		s.handleValidateColumnar(w, r, kind)
 		return
 	}
-	var req ValidateRequest
-	if !decodeJSON(w, r, &req) {
+	body, ok := readBody(w, r, maxBody)
+	if !ok {
 		return
 	}
-	if len(req.Values) == 0 {
+	defer body.release()
+	var req ValidateRequest
+	values, ok := body.envelope(w, r, &req)
+	if !ok {
+		return
+	}
+	if len(values) == 0 {
 		writeError(w, r, http.StatusBadRequest, "values are required")
 		return
 	}
@@ -732,20 +739,12 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		}
 		rule, resp.Fingerprint, resp.Cached = inferred, fp, cached
 	}
-
-	report, err := rule.Validate(req.Values)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, err.Error())
-		return
-	}
-	resp.Report = report
-	writeJSON(w, http.StatusOK, resp)
+	s.validateBatch(w, r, rule, values, resp)
 }
 
 // handleValidateColumnar serves POST /validate for text/csv and NDJSON
 // bodies: the body is the column itself, so the rule must be named by a
-// ?fingerprint= from a prior /infer, and validation runs through the
-// compiled batch path without materializing the values as strings.
+// ?fingerprint= from a prior /infer.
 func (s *Server) handleValidateColumnar(w http.ResponseWriter, r *http.Request, kind columnarKind) {
 	fp := r.URL.Query().Get("fingerprint")
 	if fp == "" {
@@ -761,10 +760,21 @@ func (s *Server) handleValidateColumnar(w http.ResponseWriter, r *http.Request, 
 			"unknown fingerprint (evicted or never inferred); re-run /infer with the training column")
 		return
 	}
-	values, ok := decodeColumnar(w, r, kind, maxBody, r.URL.Query().Get("header") == "true")
+	body, ok := readBody(w, r, maxBody)
 	if !ok {
 		return
 	}
+	defer body.release()
+	values, ok := body.columnar(w, r, kind, r.URL.Query().Get("header") == "true")
+	if !ok {
+		return
+	}
+	s.validateBatch(w, r, rule, values, ValidateResponse{Fingerprint: fp, Cached: true})
+}
+
+// validateBatch answers /validate for decoded values through the rule's
+// compiled batch path, without materializing the values as strings.
+func (s *Server) validateBatch(w http.ResponseWriter, r *http.Request, rule *validate.Rule, values [][]byte, resp ValidateResponse) {
 	rep := validate.AcquireBatchReport()
 	defer rep.Release()
 	if err := rule.ValidateBatch(values, rep); err != nil {
@@ -772,11 +782,8 @@ func (s *Server) handleValidateColumnar(w http.ResponseWriter, r *http.Request, 
 		return
 	}
 	s.countCompiled(rule, len(values))
-	writeJSON(w, http.StatusOK, ValidateResponse{
-		Fingerprint: fp,
-		Cached:      true,
-		Report:      rep.Report(values),
-	})
+	resp.Report = rep.Report(values)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // countCompiled attributes a batch's values to the engine its rule's
@@ -1020,15 +1027,16 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return decodeJSONLimit(w, r, dst, maxBody)
 }
 
+// decodeJSONLimit decodes a JSON request body into dst, writing the
+// HTTP error itself on failure. Data after the top-level value is an
+// error. dst holds copies: the body's slab is released on return.
 func decodeJSONLimit(w http.ResponseWriter, r *http.Request, dst any, limit int64) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
-	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, r, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
+	body, ok := readBody(w, r, limit)
+	if !ok {
+		return false
+	}
+	defer body.release()
+	if err := json.Unmarshal(body.slab, dst); err != nil {
 		writeError(w, r, http.StatusBadRequest, "bad request body: "+err.Error())
 		return false
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -260,6 +261,33 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("garbage body: status %d, want 400", resp.StatusCode)
+	}
+
+	// Data after the JSON object is rejected on every JSON endpoint,
+	// not silently dropped: each body would be served without its tail.
+	for _, c := range []struct{ method, path, body string }{
+		{"POST", "/infer", `{"values":["a"]} garbage`},
+		{"POST", "/infer", `{"values":["a"]}{"values":["b"]}`},
+		{"POST", "/ingest", `{"tables":[{"name":"t","columns":[{"name":"c","values":["a1"]}]}]} x`},
+		{"PUT", "/streams/s", `{"train":["a1","b2"]}{"train":["c3"]}`},
+		{"POST", "/validate", `{"values":["a"],"train":["a"]} garbage`},
+		{"POST", "/validate", `{"values":["a"],"train":["a"]}{"values":["b"]}`},
+		{"POST", "/streams/s/check", `{"values":["a"]} garbage`},
+		{"POST", "/streams/s/check", `{"values":["a"]}{"values":["b"]}`},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s %q: status %d, want 400", c.method, c.path, c.body, resp.StatusCode)
+		}
 	}
 }
 

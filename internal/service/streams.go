@@ -286,45 +286,33 @@ type StreamCheckResponse struct {
 func (s *Server) handleStreamCheck(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	// Batches arrive either in the JSON envelope or as a raw column
-	// (text/csv, NDJSON). The columnar path checks byte views through
-	// the compiled batch matcher; values are materialized as strings
-	// only if the monitor escalates to re-inference. Either way the body
-	// is decoded (and an empty batch rejected) before the registry
-	// lookup, so malformed requests answer 400 regardless of the name.
-	var check func(stream registry.Stream) (monitor.Decision, error)
-	var reinferValues func() []string
+	// (text/csv, NDJSON). Both decode into byte views of one pooled slab
+	// and are checked through the compiled batch matcher; values are
+	// materialized as strings only if the monitor escalates to
+	// re-inference. Either way the body is decoded (and an empty batch
+	// rejected) before the registry lookup, so malformed requests answer
+	// 400 regardless of the name. The slab is released only after the
+	// response and any re-inference.
+	body, ok := readBody(w, r, maxBody)
+	if !ok {
+		return
+	}
+	defer body.release()
+	var values [][]byte
 	if kind := columnarKindOf(r.Header.Get("Content-Type")); kind != colNone {
-		values, ok := decodeColumnar(w, r, kind, maxBody, r.URL.Query().Get("header") == "true")
-		if !ok {
+		if values, ok = body.columnar(w, r, kind, r.URL.Query().Get("header") == "true"); !ok {
 			return
-		}
-		check = func(stream registry.Stream) (monitor.Decision, error) {
-			dec, err := s.mon.CheckBytes(stream, values)
-			if err == nil {
-				s.countCompiled(stream.Rule, len(values))
-			}
-			return dec, err
-		}
-		reinferValues = func() []string {
-			out := make([]string, len(values))
-			for i, v := range values {
-				out[i] = string(v)
-			}
-			return out
 		}
 	} else {
-		var req StreamCheckRequest
-		if !decodeJSON(w, r, &req) {
+		// StreamCheckRequest has no field but values: the other members
+		// are only syntax-checked, into a zero-size target.
+		if values, ok = body.envelope(w, r, new(struct{})); !ok {
 			return
 		}
-		if len(req.Values) == 0 {
+		if len(values) == 0 {
 			writeError(w, r, http.StatusBadRequest, "values are required")
 			return
 		}
-		check = func(stream registry.Stream) (monitor.Decision, error) {
-			return s.mon.Check(stream, req.Values)
-		}
-		reinferValues = func() []string { return req.Values }
 	}
 	stream, ok := s.registry.Get(name)
 	if !ok {
@@ -336,7 +324,10 @@ func (s *Server) handleStreamCheck(w http.ResponseWriter, r *http.Request) {
 	// from the statistical tests themselves.
 	_, sp := s.tracer.StartSpan(r.Context(), "monitor.check")
 	sp.SetStream(name)
-	dec, err := check(stream)
+	dec, err := s.mon.CheckBytes(stream, values)
+	if err == nil {
+		s.countCompiled(stream.Rule, len(values))
+	}
 	sp.SetError(err)
 	sp.End()
 	if err != nil {
@@ -363,7 +354,10 @@ func (s *Server) handleStreamCheck(w http.ResponseWriter, r *http.Request) {
 		// and re-detect the domain — the batch that changed the
 		// stream's syntax may have changed its semantics too.
 		idx := s.idx.Load()
-		train := reinferValues()
+		train := make([]string, len(values))
+		for i, v := range values {
+			train[i] = string(v)
+		}
 		rule, err := core.Infer(train, idx, stream.Options)
 		if err != nil {
 			resp.ReinferError = err.Error()

@@ -103,8 +103,7 @@ type attrKey struct {
 	token int
 }
 
-// attributor folds misses into classes; it backs both the string and
-// byte-slab entry points.
+// attrAccum folds misses into classes.
 type attrAccum struct {
 	order   []attrKey
 	classes map[attrKey]*AttributionClass
@@ -163,20 +162,6 @@ func (r *Rule) Attribute(values [][]byte, maxSamples int) *Attribution {
 	for _, v := range values {
 		if miss, ok := prog.Explain(v); !ok {
 			acc.add(r.Pattern, miss, string(v), maxSamples)
-		}
-	}
-	return acc.result()
-}
-
-// AttributeStrings is Attribute over string values.
-func (r *Rule) AttributeStrings(values []string, maxSamples int) *Attribution {
-	prog := r.Program()
-	acc := newAttrAccum()
-	var buf []byte
-	for _, v := range values {
-		buf = append(buf[:0], v...)
-		if miss, ok := prog.Explain(buf); !ok {
-			acc.add(r.Pattern, miss, v, maxSamples)
 		}
 	}
 	return acc.result()

@@ -73,31 +73,6 @@ func TestAttributeNilWhenAllConform(t *testing.T) {
 	}
 }
 
-func TestAttributeStringsMatchesByteForm(t *testing.T) {
-	r := isoDateRule()
-	strs := []string{"2026-08-08", "garbage", "2026-08", "20x6-01-01"}
-	bytes := make([][]byte, len(strs))
-	for i, s := range strs {
-		bytes[i] = []byte(s)
-	}
-	a, b := r.AttributeStrings(strs, 3), r.Attribute(bytes, 3)
-	if a == nil || b == nil {
-		t.Fatal("nil attribution")
-	}
-	if a.Misses != b.Misses || len(a.Classes) != len(b.Classes) {
-		t.Fatalf("string/byte attribution diverge: %+v vs %+v", a, b)
-	}
-	for i := range a.Classes {
-		ca, cb := a.Classes[i], b.Classes[i]
-		if ca.Kind != cb.Kind || ca.Token != cb.Token || ca.Pos != cb.Pos || ca.Count != cb.Count {
-			t.Errorf("class %d diverges: %+v vs %+v", i, ca, cb)
-		}
-		if strings.Join(ca.Samples, "|") != strings.Join(cb.Samples, "|") {
-			t.Errorf("class %d samples diverge: %v vs %v", i, ca.Samples, cb.Samples)
-		}
-	}
-}
-
 func TestRedact(t *testing.T) {
 	cases := map[string]string{
 		"2026-08-08":  "9999-99-99",
